@@ -138,7 +138,6 @@ func run() int {
 	dataDir := flag.String("data-dir", "", "durable storage root: segments checkpoint here and recover on restart ('' = in-memory only)")
 	scale := flag.Float64("scale", 1.0, "sample dataset scale factor")
 	parallel := flag.Int("parallel", 0, "morsel-driven execution degree (1 = serial, 0 = default: GOMAXPROCS or GMDJ_PARALLEL)")
-	workers := flag.Int("workers", 0, "deprecated alias for -parallel")
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-query deadline when the request carries none (0 = none)")
 	maxTimeout := flag.Duration("max-timeout", 5*time.Minute, "clamp on client-requested timeouts (0 = unclamped)")
 	memLimit := flag.Int64("mem-limit", 0, "engine-wide tracked-state memory pool in bytes (0 = untracked)")
@@ -188,9 +187,6 @@ func run() int {
 		return exitUsage
 	}
 
-	if *parallel == 0 {
-		*parallel = *workers
-	}
 	opts := []gmdj.Option{
 		gmdj.WithParallelism(*parallel),
 		gmdj.WithPlanCache(*planCacheBytes),

@@ -19,9 +19,9 @@
 //
 // Caching: the parameterized plan cache is on by default (-plancache
 // sets its byte budget; negative disables it); -resultcache enables
-// the cross-query memo of uncorrelated subquery results and GMDJ
-// detail-side hash vectors, invalidated by table version on any write
-// (negative, the default, leaves it off). \caches shows both caches'
+// the cross-query memo of uncorrelated subquery results, invalidated
+// by table version on any write (negative, the default, leaves it
+// off). \caches shows both caches'
 // hit/miss/eviction counters.
 //
 // Memory-adaptive execution: -mem-limit bounds tracked operator state
@@ -151,7 +151,6 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "sample dataset scale factor")
 	strategy := flag.String("strategy", "gmdj-opt", "evaluation strategy: native, unnest, gmdj, gmdj-opt")
 	parallel := flag.Int("parallel", 0, "morsel-driven execution degree (1 = serial, 0 = default: GOMAXPROCS or GMDJ_PARALLEL)")
-	workers := flag.Int("workers", 0, "deprecated alias for -parallel")
 	timeout := flag.Duration("timeout", 0, "per-query wall-clock budget (0 = none)")
 	maxRows := flag.Int64("max-rows", 0, "per-query cap on materialized rows (0 = none)")
 	maxMem := flag.Int64("max-mem", 0, "per-query cap on approximate materialized bytes (0 = none)")
@@ -170,9 +169,6 @@ func main() {
 	profileDir := flag.String("profile-dir", "", "run the continuous profiler with its on-disk ring rooted here ('' disables); \\profile captures on demand")
 	flag.Parse()
 
-	if *parallel == 0 {
-		*parallel = *workers
-	}
 	opts := []gmdj.Option{
 		gmdj.WithParallelism(*parallel),
 		gmdj.WithBudget(gmdj.Budget{Timeout: *timeout, MaxRows: *maxRows, MaxMemBytes: *maxMem}),

@@ -69,12 +69,7 @@ func (db *DB) ExecStrategyContext(ctx context.Context, stmt string, s Strategy) 
 			}
 			checked = append(checked, out)
 		}
-		for _, row := range checked {
-			t.Rel.Append(row)
-		}
-		if len(checked) > 0 {
-			t.BumpVersion()
-		}
+		t.Append(checked...)
 		return nil, nil
 	case *sql.DropTableStmt:
 		if _, err := db.cat.Table(st.Name); err != nil {

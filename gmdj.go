@@ -210,12 +210,14 @@ func (db *DB) MustCreateTable(name string, cols ...Column) {
 
 // Insert appends rows to a table. Row values may be int, int64,
 // float64, string, bool, or nil (NULL); each row must match the table
-// width and column types.
+// width and column types. Every row is checked before any is stored,
+// so a failed Insert changes nothing.
 func (db *DB) Insert(table string, rows ...[]any) error {
 	t, err := db.cat.Table(table)
 	if err != nil {
 		return err
 	}
+	tups := make([]relation.Tuple, len(rows))
 	for ri, row := range rows {
 		if len(row) != t.Rel.Schema.Len() {
 			return fmt.Errorf("gmdj: row %d has %d values, table %q has %d columns",
@@ -240,11 +242,9 @@ func (db *DB) Insert(table string, rows ...[]any) error {
 			}
 			tup[i] = cv
 		}
-		t.Rel.Append(tup)
+		tups[ri] = tup
 	}
-	if len(rows) > 0 {
-		t.BumpVersion()
-	}
+	t.Append(tups...)
 	return nil
 }
 
@@ -657,8 +657,7 @@ func (db *DB) LoadCSV(table string, r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	t.Rel.Rows = append(t.Rel.Rows, rel.Rows...)
-	t.BumpVersion()
+	t.Append(rel.Rows...)
 	return nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/olaplab/gmdj/internal/govern"
+	"github.com/olaplab/gmdj/internal/relation"
 )
 
 // The governance tests exercise every evaluation strategy: a governed
@@ -48,6 +49,10 @@ func governDB(t testing.TB, hours, flows int) *DB {
 	db.MustInsert("flows", rows...)
 	return db
 }
+
+// parallelHours is the smallest hours table whose GMDJ base
+// relation.FanOut shards, so worker-pool tests run parallel.
+const parallelHours = 2 * relation.MorselRows
 
 // waitGoroutines polls until the goroutine count settles back to at
 // most want, tolerating runtime background goroutines that wind down
@@ -189,7 +194,7 @@ func TestInjectedPanicAllStrategies(t *testing.T) {
 // shield it), stops the pool, and surfaces as ErrInternal without
 // leaking the other workers.
 func TestWorkerPanicIsolated(t *testing.T) {
-	db := governDB(t, 50, 4000)
+	db := governDB(t, parallelHours, 4000)
 	db.SetParallelism(4)
 	db.eng.SetFaultInjector(govern.NewInjector(map[string]string{"gmdj.worker": "panic"}))
 	defer db.eng.SetFaultInjector(nil)
@@ -206,9 +211,6 @@ func TestWorkerPanicIsolated(t *testing.T) {
 // strategy actually runs aborts the query with ErrInjected, proving
 // the error path is wired through each operator.
 func TestFaultSitesPerStrategy(t *testing.T) {
-	db := governDB(t, 20, 500)
-	db.SetParallelism(2)
-	defer db.eng.SetFaultInjector(nil)
 	cases := []struct {
 		site       string
 		strategies []Strategy
@@ -224,6 +226,13 @@ func TestFaultSitesPerStrategy(t *testing.T) {
 		{"gmdj.worker", []Strategy{GMDJ, GMDJOpt}},
 	}
 	for _, c := range cases {
+		// Only a base that relation.FanOut shards reaches the worker pool.
+		hours := 20
+		if c.site == "gmdj.worker" {
+			hours = parallelHours
+		}
+		db := governDB(t, hours, 500)
+		db.SetParallelism(2)
 		db.eng.SetFaultInjector(govern.NewInjector(map[string]string{c.site: "error"}))
 		for _, s := range c.strategies {
 			t.Run(fmt.Sprintf("%s/%v", c.site, s), func(t *testing.T) {

@@ -42,9 +42,9 @@ var preparedDests = [][3]string{
 //	                rewrites from scratch (the pre-Prepare API);
 //	prepared      — the template compiles once; each replay binds
 //	                parameters into the cached physical plan;
-//	prepared-memo — prepared, plus the cross-query result memo, so
-//	                replays also reuse the GMDJ detail-side hash
-//	                vectors across queries.
+//	prepared-memo — prepared, plus the cross-query result memo of
+//	                subquery sources. Every arm reuses the GMDJ detail
+//	                key hashes, which each table memoizes per version.
 func (r *Runner) Prepared() *Experiment {
 	exp := &Experiment{
 		ID:    "prepared",

@@ -45,7 +45,7 @@ type Executor struct {
 	// parallel operator pipeline may use (table-scan morsels through
 	// filters and projections, hash-join build and probe, GMDJ detail
 	// scans). 0 and 1 mean serial. Operators clamp further so small
-	// inputs never pay goroutine overhead (see pipelineWorkers).
+	// inputs never pay goroutine overhead (see relation.FanOut).
 	Parallelism int
 	// GMDJStats, when non-nil, accumulates GMDJ operator counters.
 	GMDJStats *gmdj.Stats
@@ -54,10 +54,10 @@ type Executor struct {
 	// during evaluation, so concurrent queries are safe.
 	Faults *govern.Injector
 	// Results, when non-nil, is the engine-level cross-query memo:
-	// uncorrelated subquery source materializations and GMDJ
-	// detail-side hash partitions are published to it under keys that
-	// embed each dependency table's id@version, so entries computed
-	// before a write are unreachable afterwards (see internal/plancache).
+	// uncorrelated subquery source materializations are published to
+	// it under keys that embed each dependency table's id@version, so
+	// entries computed before a write are unreachable afterwards (see
+	// internal/plancache).
 	Results *plancache.ResultCache
 	// Spill, when non-nil, is the engine's file-backed store for
 	// operator state evicted under memory pressure; GMDJ nodes use it
@@ -358,7 +358,7 @@ func (e *Executor) evalRestrict(r *algebra.Restrict, ev *env) (*relation.Relatio
 		return nil, err
 	}
 	in = e.pruneScanInput(r, in, ev)
-	workers := e.pipelineWorkers(in.Len())
+	workers := relation.FanOut(e.Parallelism, in.Len())
 	if predHasSub(cp) {
 		// Subquery predicates carry per-query mutable state (the
 		// memoization table, result-cache plumbing) that is not safe off
@@ -384,7 +384,7 @@ func (e *Executor) evalRestrict(r *algebra.Restrict, ev *env) (*relation.Relatio
 			batch: relation.NewBatch(in.Schema, relation.DefaultBatchCap),
 		}
 	}
-	outs := make([][]relation.Tuple, morselCount(in.Len()))
+	outs := make([][]relation.Tuple, relation.Morsels(in.Len()))
 	used, err := runMorsels(in.Len(), workers, func(w, m, lo, hi int) error {
 		st := states[w]
 		st.src.reset(lo, hi)
@@ -512,7 +512,7 @@ func (e *Executor) evalProject(p *algebra.Project, ev *env) (*relation.Relation,
 	// Non-distinct projection is embarrassingly parallel: bound
 	// expression trees are immutable, so workers share them and differ
 	// only in scratch (input batch, concatenated outer row).
-	workers := e.pipelineWorkers(in.Len())
+	workers := relation.FanOut(e.Parallelism, in.Len())
 	type wstate struct {
 		src   *relSource
 		op    *projectOp
@@ -535,7 +535,7 @@ func (e *Executor) evalProject(p *algebra.Project, ev *env) (*relation.Relation,
 			batch: relation.NewBatch(outSchema, relation.DefaultBatchCap),
 		}
 	}
-	outs := make([][]relation.Tuple, morselCount(in.Len()))
+	outs := make([][]relation.Tuple, relation.Morsels(in.Len()))
 	used, err := runMorsels(in.Len(), workers, func(w, m, lo, hi int) error {
 		st := states[w]
 		st.src.reset(lo, hi)
@@ -748,23 +748,14 @@ func (e *Executor) evalGMDJ(g *algebra.GMDJ, ev *env) (*relation.Relation, error
 		Mem:        ev.q.tracker("gmdj"),
 		Spill:      e.Spill,
 	}
-	// Cross-query hash-partition reuse and packed-column hashing are
-	// sound only when the detail relation IS a base table (a bare scan
-	// shares the table's row slice, so row positions and versions line
-	// up); any operator in between produces a fresh derived relation
-	// per query. The PackedHash closure is lazy — the columnar segment
-	// is only built (or fetched from the per-version cache) when the
-	// evaluator actually needs a hash vector the cross-query cache
-	// cannot supply.
+	// The table's per-version key-hash memo describes the detail rows
+	// only when the detail relation IS a base table (a bare scan shares
+	// the table's row slice, so row positions line up); any operator in
+	// between produces a fresh derived relation, whose keys the
+	// evaluator hashes itself.
 	if s, ok := g.Detail.(*algebra.Scan); ok {
 		if t, err := e.Cat.Table(s.Table); err == nil {
-			if e.Results != nil {
-				opts.HashCache = e.Results
-				opts.DetailID = plancache.EpochTag(s.Table, t.ID(), t.Version())
-			}
-			opts.PackedHash = func(key []int) ([]uint64, []bool) {
-				return t.Segment().KeyHashes(key)
-			}
+			opts.PackedHash = t.KeyHashes
 		}
 	}
 	out, err := gmdj.Evaluate(base, detail, g.Conds, opts)
@@ -775,7 +766,7 @@ func (e *Executor) evalGMDJ(g *algebra.GMDJ, ev *env) (*relation.Relation, error
 	if op := ev.q.col.Current(); op != nil {
 		workers := int64(len(local.WorkerRows))
 		if workers == 0 {
-			workers = 1 // serial scan (or partitioned serial scans)
+			workers = 1 // serial scan (or spilled serial scans)
 		}
 		op.Add("workers", workers)
 		op.Add("batches", local.Batches)
@@ -785,10 +776,6 @@ func (e *Executor) evalGMDJ(g *algebra.GMDJ, ev *env) (*relation.Relation, error
 		op.Add("completed", local.Completed)
 		op.Add("short_circuit_rows", local.ShortCircuitRows)
 		op.Add("fallback_conds", int64(local.FallbackConds))
-		if local.HashCacheHits+local.HashCacheMisses > 0 {
-			op.Add("hash_cache_hits", local.HashCacheHits)
-			op.Add("hash_cache_misses", local.HashCacheMisses)
-		}
 		if local.PackedHashConds > 0 {
 			op.Add("packed_hash_conds", local.PackedHashConds)
 		}

@@ -95,7 +95,7 @@ func (e *Executor) evalJoin(j *algebra.Join, ev *env) (*relation.Relation, error
 	// carries its own scan pipeline and scratch full row; each morsel
 	// buffers its emissions so the final concatenation preserves
 	// left-row order.
-	workers := e.pipelineWorkers(len(left.Rows))
+	workers := relation.FanOut(e.Parallelism, len(left.Rows))
 	type wstate struct {
 		src     *relSource
 		batch   *relation.Batch
@@ -110,7 +110,7 @@ func (e *Executor) evalJoin(j *algebra.Join, ev *env) (*relation.Relation, error
 		}
 	}
 	nullPad := make(relation.Tuple, right.Schema.Len())
-	outs := make([][]relation.Tuple, morselCount(len(left.Rows)))
+	outs := make([][]relation.Tuple, relation.Morsels(len(left.Rows)))
 
 	// matchRows visits one left row's candidates, appending emissions
 	// to the morsel buffer; semantics per kind match the serial engine
@@ -236,7 +236,7 @@ func (e *Executor) buildJoinIndex(right *relation.Relation, rightPos []int, ev *
 	n := len(right.Rows)
 	hs := make([]uint64, n)
 	okv := make([]bool, n)
-	workers := e.pipelineWorkers(n)
+	workers := relation.FanOut(e.Parallelism, n)
 	type wstate struct {
 		src   *relSource
 		batch *relation.Batch

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -11,42 +10,11 @@ import (
 	"github.com/olaplab/gmdj/internal/relation"
 )
 
-// MorselRows is how many input rows one morsel covers: a few batches'
-// worth, small enough that workers rebalance across skewed predicates,
-// large enough that the atomic claim is amortized into noise.
-const MorselRows = 4 * relation.DefaultBatchCap
-
-// morselCount returns how many morsels cover n input rows.
-func morselCount(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return (n-1)/MorselRows + 1
-}
-
 // pipeInfo reports what one morsel-parallel pipeline actually did, for
 // the operator's workers= and batches= counters.
 type pipeInfo struct {
 	workers int
 	batches int64
-}
-
-// pipelineWorkers resolves the degree for one operator pipeline over n
-// input rows: the configured parallelism, clamped so the fan-out is
-// worth its goroutines (at least two morsels of work) and each worker
-// can claim at least one morsel.
-func (e *Executor) pipelineWorkers(n int) int {
-	w := e.Parallelism
-	if w <= 1 || n < 2*MorselRows {
-		return 1
-	}
-	if mc := morselCount(n); w > mc {
-		w = mc
-	}
-	if max := runtime.GOMAXPROCS(0) * 4; w > max {
-		w = max
-	}
-	return w
 }
 
 // runMorsels drives fn over every morsel of [0, n). Workers claim
@@ -57,7 +25,8 @@ func (e *Executor) pipelineWorkers(n int) int {
 //
 // fn(worker, morsel, lo, hi) must be safe for concurrent invocation
 // with distinct worker ids; worker-local scratch is indexed by the id.
-// With workers <= 1 everything runs inline on the calling goroutine —
+// workers comes from relation.FanOut, so each worker has a morsel to
+// claim. With workers <= 1 everything runs inline on the calling goroutine —
 // the serial engine, bit for bit, with no goroutine or channel cost.
 //
 // Failure semantics mirror the GMDJ pool: the first error (or
@@ -65,11 +34,11 @@ func (e *Executor) pipelineWorkers(n int) int {
 // stop flag; other workers quit at their next claim, and the first
 // error is returned.
 func runMorsels(n, workers int, fn func(worker, morsel, lo, hi int) error) (int, error) {
-	nm := morselCount(n)
-	if workers <= 1 || nm <= 1 {
+	nm := relation.Morsels(n)
+	if workers <= 1 {
 		for m := 0; m < nm; m++ {
-			lo := m * MorselRows
-			hi := lo + MorselRows
+			lo := m * relation.MorselRows
+			hi := lo + relation.MorselRows
 			if hi > n {
 				hi = n
 			}
@@ -78,9 +47,6 @@ func runMorsels(n, workers int, fn func(worker, morsel, lo, hi int) error) (int,
 			}
 		}
 		return 1, nil
-	}
-	if workers > nm {
-		workers = nm
 	}
 	var (
 		next     atomic.Int64
@@ -113,8 +79,8 @@ func runMorsels(n, workers int, fn func(worker, morsel, lo, hi int) error) (int,
 				if m >= nm {
 					return
 				}
-				lo := m * MorselRows
-				hi := lo + MorselRows
+				lo := m * relation.MorselRows
+				hi := lo + relation.MorselRows
 				if hi > n {
 					hi = n
 				}

@@ -25,10 +25,7 @@ package gmdj
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/debug"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,7 +44,13 @@ import (
 // Stats reports work performed by one Evaluate call. All counters are
 // cumulative across conditions.
 type Stats struct {
-	// DetailRows is the number of detail tuples scanned.
+	// DetailRows is how far into the detail relation the scan got: the
+	// number of detail tuples it covered before it finished or
+	// short-circuited. A parallel scan covers the detail once per
+	// worker and reports its longest worker's scan, which is where the
+	// serial scan would have stopped; the per-worker visits are in
+	// WorkerRows. Either way DetailRows + ShortCircuitRows is |detail|
+	// for every scan.
 	DetailRows int64
 	// Probes counts hash-index probes plus fallback base-entry visits.
 	Probes int64
@@ -57,7 +60,8 @@ type Stats struct {
 	Completed int64
 	// ShortCircuitRows counts detail tuples skipped because tuple
 	// completion decided every base tuple before the scan finished —
-	// the strongest form of the §4.2 win.
+	// the strongest form of the §4.2 win. It is |detail| - DetailRows
+	// per scan.
 	ShortCircuitRows int64
 	// FallbackConds is the number of conditions lacking equi-bindings
 	// (evaluated by scanning active base entries).
@@ -69,17 +73,11 @@ type Stats struct {
 	Batches int64
 	// WorkerRows records, for a parallel scan, how many detail rows
 	// each worker fed (per-worker locals, recorded at drain time). Nil
-	// for serial evaluation. Merge concatenates, so partitioned runs
-	// list every scan's workers in order.
+	// for serial evaluation. Merge concatenates, so spilled runs list
+	// every scan's workers in order.
 	WorkerRows []int64
-	// HashCacheHits / HashCacheMisses count detail-side key-hash
-	// partitions reused from (or computed and published to) the
-	// cross-query hash cache (Options.HashCache). A hit saves one full
-	// hashing pass over the detail relation per condition key set.
-	HashCacheHits   int64
-	HashCacheMisses int64
 	// PackedHashConds counts condition key sets whose detail hash
-	// vector was read from the packed columnar segment
+	// vector came from the detail table's per-version memo
 	// (Options.PackedHash) instead of hashing row-oriented tuples.
 	PackedHashConds int64
 	// SpillPartitions counts base-state partitions evicted to the spill
@@ -110,8 +108,6 @@ func (s *Stats) Merge(src *Stats) {
 	s.FallbackConds += src.FallbackConds
 	s.Batches += src.Batches
 	s.WorkerRows = append(s.WorkerRows, src.WorkerRows...)
-	s.HashCacheHits += src.HashCacheHits
-	s.HashCacheMisses += src.HashCacheMisses
 	s.PackedHashConds += src.PackedHashConds
 	s.SpillPartitions += src.SpillPartitions
 	s.SpillBytesWritten += src.SpillBytesWritten
@@ -123,17 +119,12 @@ func (s *Stats) Merge(src *Stats) {
 type Options struct {
 	// Completion enables §4.2 tuple completion when non-nil.
 	Completion *algebra.CompletionInfo
-	// Workers > 1 partitions the base relation across goroutines, each
-	// scanning the detail relation against its own base range; results
-	// are byte-identical to serial evaluation at any degree. 0 and 1
-	// mean serial.
+	// Workers is the configured parallelism. relation.FanOut turns it
+	// and the base size into the number of goroutines that partition
+	// the base relation, each scanning the detail relation against its
+	// own base range; results are byte-identical to serial evaluation
+	// at any degree. 0 and 1 mean serial.
 	Workers int
-	// MaxBaseRows bounds the in-memory base-values structure: when the
-	// base exceeds it, evaluation proceeds in base partitions of this
-	// size, scanning the detail relation once per partition — the
-	// paper's "well-defined cost" memory-management regime for bases
-	// that do not fit in memory. 0 means unbounded (single scan).
-	MaxBaseRows int
 	// Stats, when non-nil, receives evaluation counters.
 	Stats *Stats
 	// Gov, when non-nil, governs the scan: cooperative cancellation
@@ -150,24 +141,14 @@ type Options struct {
 	// query dashboard. Shared by parallel workers (atomic counters), so
 	// a long detail scan shows advancing numbers while it runs.
 	Live *obs.LiveQuery
-	// HashCache, together with a non-empty DetailID, lets the evaluator
-	// reuse detail-side key-hash partitions across queries: the vector
-	// of key hashes for (detail relation, key columns) is looked up
-	// before being recomputed, and published after. The caller is
-	// responsible for DetailID capturing the detail relation's identity
-	// AND version, so a stale vector is unreachable by construction.
-	HashCache HashCache
-	// DetailID identifies the detail relation for HashCache keys
-	// (e.g. "Flow#3@7"). Empty disables hash-partition caching.
-	DetailID string
 	// PackedHash, when non-nil, supplies detail-side key-hash vectors
-	// straight from the detail table's packed columnar segment
-	// (storage.Segment.KeyHashes): given the detail-schema positions of
-	// a condition's key columns, it returns the per-row hash and
-	// validity vectors, bit-identical to hashing the row-oriented
-	// tuples. The caller must guarantee the vectors describe exactly
-	// the rows of the detail relation passed to Evaluate (the executor
-	// sets this only for bare table scans, the same gate as DetailID).
+	// from the detail table's per-version memo (storage.Table.KeyHashes):
+	// given the detail-schema positions of a condition's key columns, it
+	// returns the per-row hash and validity vectors, bit-identical to
+	// hashing the row-oriented tuples. The executor sets it only when
+	// the detail relation is a bare table scan; a vector whose length
+	// differs from the detail relation is not used, and that condition
+	// hashes rows instead. Vectors are shared and never written.
 	PackedHash func(key []int) (h []uint64, ok []bool)
 	// Mem, when non-nil, charges the estimated base-state footprint
 	// (hash indexes, accumulators, completion flags) against the
@@ -182,16 +163,8 @@ type Options struct {
 	Spill *spill.Store
 }
 
-// HashCache is the minimal cache surface the evaluator needs for
-// detail-hash reuse (satisfied by plancache.ResultCache). Values are
-// immutable after Put.
-type HashCache interface {
-	Get(key string) (any, bool)
-	Put(key string, v any, bytes int64)
-}
-
-// detailHashVec is the cached per-detail-row key-hash partition for
-// one key-column set: H[i] is the FNV hash of row i's key columns and
+// detailHashVec is the per-detail-row key-hash partition for one
+// key-column set: H[i] is the FNV hash of row i's key columns and
 // OK[i] is false where any key component is NULL (never matches).
 type detailHashVec struct {
 	H  []uint64
@@ -212,10 +185,10 @@ type condProg struct {
 
 	index map[uint64][]int32 // base positions by key hash (nil ⇒ fallback)
 
-	// detailHash, when non-nil, holds the (possibly cache-shared)
-	// precomputed key hash per detail row, replacing per-row keyHash
-	// calls in feed. Read-only once attached (shared across workers and
-	// across queries).
+	// detailHash, when non-nil, holds the precomputed key hash per
+	// detail row, replacing per-row keyHash calls in feed. Read-only
+	// once attached (shared across workers, and across queries when it
+	// comes from the table memo).
 	detailHash *detailHashVec
 	// detailPredOK, when non-nil, caches the detail-only predicate
 	// outcome per detail row. prepareParallel fills it before a
@@ -235,9 +208,6 @@ type program struct {
 	faults       *govern.Injector
 	tracer       *obs.Tracer
 	live         *obs.LiveQuery
-	// packed mirrors Options.PackedHash: the detail table's columnar
-	// key-hash supplier, consulted before any row-oriented hashing pass.
-	packed func(key []int) (h []uint64, ok []bool)
 }
 
 // Evaluate computes the GMDJ of base and detail under conds.
@@ -245,9 +215,6 @@ type program struct {
 // aggregate columns in order; output rows appear in base order (minus
 // tuples dropped by completion).
 func Evaluate(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Options) (*relation.Relation, error) {
-	if opts.MaxBaseRows > 0 && len(base.Rows) > opts.MaxBaseRows {
-		return evaluatePartitioned(base, detail, conds, opts)
-	}
 	if err := opts.Faults.Fire("gmdj.compile", opts.Gov); err != nil {
 		return nil, err
 	}
@@ -266,16 +233,9 @@ func Evaluate(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Op
 		}
 		defer opts.Mem.Shrink(est)
 	}
-	p, err := compile(base, detail, conds, opts.Completion)
+	p, err := prepare(base, detail, conds, opts)
 	if err != nil {
 		return nil, err
-	}
-	p.gov, p.faults, p.tracer, p.live = opts.Gov, opts.Faults, opts.Tracer, opts.Live
-	p.packed = opts.PackedHash
-	if opts.HashCache != nil && opts.DetailID != "" {
-		p.attachDetailHashes(opts.HashCache, opts.DetailID, opts.Stats)
-	} else if p.packed != nil {
-		p.attachPackedHashes(opts.Stats)
 	}
 	if opts.Stats != nil {
 		for _, c := range p.conds {
@@ -294,16 +254,11 @@ func Evaluate(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Op
 // run executes the detail scan (serial or parallel) and returns the
 // per-base decisions and accumulator rows, leaving materialization to
 // emit — the split that lets the spill path evaluate partitions
-// independently and still emit once, in base order.
-func (p *program) run(workers int, stats *Stats) ([]int8, [][]agg.Accumulator, error) {
-	if workers <= 0 {
-		workers = 1
-	}
-	// Parallel evaluation shards the base, so it needs enough base rows
-	// for every worker to own a real range, and enough detail rows for
-	// the scan to be worth sharding at all.
-	if workers > 1 && len(p.base.Rows) >= 2*workers && len(p.detail.Rows) >= 2*workers {
-		if err := p.prepareParallel(stats); err != nil {
+// independently and still emit once, in base order. The base is
+// sharded when relation.FanOut gives its size more than one worker.
+func (p *program) run(parallelism int, stats *Stats) ([]int8, [][]agg.Accumulator, error) {
+	if workers := relation.FanOut(parallelism, len(p.base.Rows)); workers > 1 {
+		if err := p.prepareParallel(); err != nil {
 			return nil, nil, err
 		}
 		return p.runParallel(workers, stats)
@@ -313,17 +268,21 @@ func (p *program) run(workers int, stats *Stats) ([]int8, [][]agg.Accumulator, e
 
 // prepareParallel hoists the per-detail-row work every worker would
 // otherwise repeat into shared read-only vectors: indexed conditions
-// get their key-hash partition (when the cross-query cache hasn't
-// already supplied one), and conditions with a detail-only predicate
-// get its outcome bitmap. One O(detail) pass here replaces
-// workers× passes inside the scan, leaving only the index probes
-// themselves as duplicated work.
-func (p *program) prepareParallel(stats *Stats) error {
+// get their key-hash partition (when the table memo hasn't already
+// supplied one), and conditions with a detail-only predicate get its
+// outcome bitmap. One O(detail) pass here replaces workers× passes
+// inside the scan, leaving only the index probes themselves as
+// duplicated work.
+func (p *program) prepareParallel() error {
 	n := len(p.detail.Rows)
 	for ci := range p.conds {
 		cp := &p.conds[ci]
-		if cp.index != nil && len(cp.detailKey) > 0 && cp.detailHash == nil {
-			cp.detailHash = p.computeDetailVec(cp.detailKey, stats)
+		if cp.index != nil && cp.detailHash == nil {
+			vec := &detailHashVec{H: make([]uint64, n), OK: make([]bool, n)}
+			for di, row := range p.detail.Rows {
+				vec.H[di], vec.OK[di] = keyHash(row, cp.detailKey)
+			}
+			cp.detailHash = vec
 		}
 		if cp.detailPred != nil && cp.detailPredOK == nil {
 			oks := make([]bool, n)
@@ -362,6 +321,36 @@ func estimateStateBytes(base *relation.Relation, conds []algebra.GMDJCond, comp 
 		per += int64(len(comp.Atoms)) * 2 // matched flags
 	}
 	return nBase * per
+}
+
+// prepare compiles conds for one evaluation and wires opts into the
+// program: the governance and observability hooks, and each indexed
+// condition's detail key-hash vector from the table memo
+// (opts.PackedHash) when it covers exactly the detail rows. Conditions
+// without one hash rows during the scan.
+func prepare(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Options) (*program, error) {
+	p, err := compile(base, detail, conds, opts.Completion)
+	if err != nil {
+		return nil, err
+	}
+	p.gov, p.faults, p.tracer, p.live = opts.Gov, opts.Faults, opts.Tracer, opts.Live
+	if opts.PackedHash == nil {
+		return p, nil
+	}
+	n := len(detail.Rows)
+	for i := range p.conds {
+		cp := &p.conds[i]
+		if cp.index == nil {
+			continue
+		}
+		if h, ok := opts.PackedHash(cp.detailKey); len(h) == n && len(ok) == n {
+			cp.detailHash = &detailHashVec{H: h, OK: ok}
+			if opts.Stats != nil {
+				opts.Stats.PackedHashConds++
+			}
+		}
+	}
+	return p, nil
 }
 
 // compile binds and classifies every condition.
@@ -416,87 +405,6 @@ func compile(base, detail *relation.Relation, conds []algebra.GMDJCond, comp *al
 		}
 	}
 	return p, nil
-}
-
-// attachDetailHashes resolves each indexed condition's detail-side
-// key-hash partition against the cross-query cache: a hit replaces the
-// per-row hashing feed would otherwise do; a miss computes the vector
-// once here and publishes it. Conditions sharing a key-column set
-// (coalesced subqueries probing the same binding, the common GMDJOpt
-// shape) resolve to the same entry, so the second condition is free
-// even on a cold cache.
-func (p *program) attachDetailHashes(cache HashCache, detailID string, stats *Stats) {
-	for i := range p.conds {
-		cp := &p.conds[i]
-		if cp.index == nil || len(cp.detailKey) == 0 {
-			continue
-		}
-		keyCols := make([]string, len(cp.detailKey))
-		for k, pos := range cp.detailKey {
-			keyCols[k] = strconv.Itoa(pos)
-		}
-		key := "gmdjhash|" + detailID + "|k" + strings.Join(keyCols, ",")
-		if v, ok := cache.Get(key); ok {
-			if vec, ok := v.(*detailHashVec); ok && len(vec.H) == len(p.detail.Rows) {
-				cp.detailHash = vec
-				if stats != nil {
-					stats.HashCacheHits++
-				}
-				continue
-			}
-		}
-		vec := p.computeDetailVec(cp.detailKey, stats)
-		cache.Put(key, vec, int64(len(vec.H))*9)
-		cp.detailHash = vec
-		if stats != nil {
-			stats.HashCacheMisses++
-		}
-	}
-}
-
-// attachPackedHashes resolves indexed conditions' detail hash vectors
-// from the packed columnar segment when no cross-query cache is
-// configured. Only trusted vectors attach: a supplier whose vector
-// length disagrees with the detail relation (a stale segment) is
-// dropped entirely and evaluation falls back to row hashing.
-func (p *program) attachPackedHashes(stats *Stats) {
-	n := len(p.detail.Rows)
-	for i := range p.conds {
-		cp := &p.conds[i]
-		if cp.index == nil || len(cp.detailKey) == 0 || cp.detailHash != nil {
-			continue
-		}
-		h, ok := p.packed(cp.detailKey)
-		if len(h) != n || len(ok) != n {
-			p.packed = nil
-			return
-		}
-		cp.detailHash = &detailHashVec{H: h, OK: ok}
-		if stats != nil {
-			stats.PackedHashConds++
-		}
-	}
-}
-
-// computeDetailVec builds the key-hash vector for one detail key set,
-// reading the packed columnar segment when a trusted supplier is
-// attached and falling back to hashing the row-oriented tuples.
-func (p *program) computeDetailVec(key []int, stats *Stats) *detailHashVec {
-	n := len(p.detail.Rows)
-	if p.packed != nil {
-		if h, ok := p.packed(key); len(h) == n && len(ok) == n {
-			if stats != nil {
-				stats.PackedHashConds++
-			}
-			return &detailHashVec{H: h, OK: ok}
-		}
-		p.packed = nil // stale supplier: never consult it again
-	}
-	vec := &detailHashVec{H: make([]uint64, n), OK: make([]bool, n)}
-	for di, row := range p.detail.Rows {
-		vec.H[di], vec.OK[di] = keyHash(row, key)
-	}
-	return vec
 }
 
 // classifyTheta splits θ's conjuncts into bindings and side-local
@@ -1016,16 +924,7 @@ scan:
 // panic boundary lives on the query goroutine and cannot shield
 // workers — and surface as *govern.InternalError.
 func (p *program) runParallel(workers int, stats *Stats) ([]int8, [][]agg.Accumulator, error) {
-	if workers > runtime.GOMAXPROCS(0)*4 {
-		workers = runtime.GOMAXPROCS(0) * 4
-	}
 	nBase := len(p.base.Rows)
-	if workers > nBase {
-		workers = nBase
-	}
-	if workers <= 1 {
-		return p.runSerial(stats)
-	}
 	// Allocate every worker state before launching any goroutine, so an
 	// allocation error cannot strand already-started workers.
 	states := make([]*state, workers)
@@ -1081,7 +980,6 @@ func (p *program) runParallel(workers int, stats *Stats) ([]int8, [][]agg.Accumu
 						// Range short-circuit: every base entry this worker
 						// owns is decided, so the rest of the scan is dead
 						// work for it.
-						st.stats.ShortCircuitRows += int64(n - di)
 						return
 					}
 					if err := p.gov.Tick(); err != nil {
@@ -1101,10 +999,13 @@ func (p *program) runParallel(workers int, stats *Stats) ([]int8, [][]agg.Accumu
 	if firstErr != nil {
 		return nil, nil, firstErr
 	}
-	// Record per-worker row counts before merging collapses the locals.
+	// Record per-worker row counts before merging collapses the locals;
+	// the longest of them is how far the scan got (see Stats.DetailRows).
 	workerRows := make([]int64, workers)
+	var covered int64
 	for w := range states {
 		workerRows[w] = states[w].stats.DetailRows
+		covered = max(covered, workerRows[w])
 	}
 	// Each worker's range is disjoint and final: concatenate.
 	root := states[0]
@@ -1115,36 +1016,8 @@ func (p *program) runParallel(workers int, stats *Stats) ([]int8, [][]agg.Accumu
 		root.stats.Merge(&st.stats)
 	}
 	root.stats.WorkerRows = workerRows
+	root.stats.DetailRows = covered
+	root.stats.ShortCircuitRows = int64(n) - covered
 	stats.Merge(&root.stats)
 	return root.decided, root.accs, nil
-}
-
-// evaluatePartitioned processes the base relation in bounded chunks,
-// scanning the detail relation once per chunk. Output order (base
-// order) and completion semantics are preserved: every base tuple's
-// aggregates and decisions depend only on its own matches.
-func evaluatePartitioned(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Options) (*relation.Relation, error) {
-	chunkOpts := opts
-	chunkOpts.MaxBaseRows = 0
-	var out *relation.Relation
-	for lo := 0; lo < len(base.Rows); lo += opts.MaxBaseRows {
-		hi := lo + opts.MaxBaseRows
-		if hi > len(base.Rows) {
-			hi = len(base.Rows)
-		}
-		chunk := &relation.Relation{Schema: base.Schema, Rows: base.Rows[lo:hi]}
-		res, err := Evaluate(chunk, detail, conds, chunkOpts)
-		if err != nil {
-			return nil, err
-		}
-		if out == nil {
-			out = res
-		} else {
-			out.Rows = append(out.Rows, res.Rows...)
-		}
-	}
-	if out == nil {
-		out = relation.New(base.Schema)
-	}
-	return out, nil
 }

@@ -436,11 +436,12 @@ func TestCompletionComposite(t *testing.T) {
 }
 
 // TestParallelMatchesSerial is the core property: parallel evaluation
-// must produce the same bag as serial, across random inputs.
+// must produce the same bag as serial, across random inputs. Bases span
+// two to four morsels, so the scan shards at every degree above 1.
 func TestParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		nBase, nDetail := 1+rng.Intn(30), rng.Intn(500)
+	for trial := 0; trial < 8; trial++ {
+		nBase, nDetail := parallelBase+rng.Intn(parallelBase), rng.Intn(40)
 		base := relation.New(relation.NewSchema(
 			relation.Column{Qualifier: "B", Name: "k", Type: value.KindInt},
 		))
@@ -490,13 +491,14 @@ func TestParallelCompletionDropsSameRows(t *testing.T) {
 	base := relation.New(relation.NewSchema(
 		relation.Column{Qualifier: "B", Name: "k", Type: value.KindInt},
 	))
-	for i := int64(0); i < 50; i++ {
+	for i := int64(0); i < parallelBase; i++ {
 		base.Append(relation.Tuple{value.Int(i)})
 	}
 	detail := relation.New(relation.NewSchema(
 		relation.Column{Qualifier: "R", Name: "k", Type: value.KindInt},
 	))
-	for i := int64(0); i < 25; i++ {
+	// The first half of the base keys match (and are dropped).
+	for i := int64(0); i < parallelBase/2; i++ {
 		for j := 0; j < 5; j++ {
 			detail.Append(relation.Tuple{value.Int(i)})
 		}
@@ -517,8 +519,8 @@ func TestParallelCompletionDropsSameRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.Len() != 25 || par.Len() != 25 {
-		t.Fatalf("serial %d, parallel %d rows; want 25", serial.Len(), par.Len())
+	if serial.Len() != parallelBase/2 || par.Len() != parallelBase/2 {
+		t.Fatalf("serial %d, parallel %d rows; want %d", serial.Len(), par.Len(), parallelBase/2)
 	}
 	if d := serial.Diff(par); d != "" {
 		t.Errorf("parallel completion differs: %s", d)

@@ -33,6 +33,10 @@ func governData(nBase, nDetail int) (*relation.Relation, *relation.Relation) {
 	return base, detail
 }
 
+// parallelBase is the smallest base relation.FanOut shards: tests of
+// the worker pool use it so they run parallel at any degree above 1.
+const parallelBase = 2 * relation.MorselRows
+
 // nonEquiCond forces the per-detail full base scan (no equi binding),
 // the slowest GMDJ path — maximizing the window in which cancellation
 // must be observed.
@@ -49,7 +53,7 @@ func nonEquiCond() []algebra.GMDJCond {
 // scan wins (nil error) or the cancel wins (ErrCanceled); anything
 // else — a hang, a leak, an unmapped context error — fails.
 func TestParallelConcurrentCancellation(t *testing.T) {
-	base, detail := governData(10, 30_000)
+	base, detail := governData(parallelBase, 30_000)
 	conds := nonEquiCond()
 	before := runtime.NumGoroutine()
 	delays := []time.Duration{0, 50 * time.Microsecond, 200 * time.Microsecond, 1 * time.Millisecond, 5 * time.Millisecond}
@@ -87,7 +91,7 @@ func TestParallelConcurrentCancellation(t *testing.T) {
 // TestParallelBudgetAbort: a row budget breached at emit time aborts a
 // parallel evaluation with the typed budget error.
 func TestParallelBudgetAbort(t *testing.T) {
-	base, detail := governData(10, 1000)
+	base, detail := governData(parallelBase, 100)
 	gov := govern.New(context.Background(), govern.Budget{MaxRows: 5})
 	_, err := Evaluate(base, detail, nonEquiCond(), Options{Workers: 4, Gov: gov})
 	if !errors.Is(err, govern.ErrRowBudget) {
@@ -99,7 +103,7 @@ func TestParallelBudgetAbort(t *testing.T) {
 // propagates as the evaluation's error and stops the remaining
 // workers promptly (the pool drains within one row of the failure).
 func TestParallelWorkerErrorStopsPool(t *testing.T) {
-	base, detail := governData(10, 30_000)
+	base, detail := governData(parallelBase, 30_000)
 	faults := govern.NewInjector(map[string]string{"gmdj.worker": "error"})
 	start := time.Now()
 	_, err := Evaluate(base, detail, nonEquiCond(), Options{Workers: 4, Faults: faults})
@@ -115,7 +119,7 @@ func TestParallelWorkerErrorStopsPool(t *testing.T) {
 // worker goroutine and converted to a typed internal error instead of
 // crashing the process.
 func TestParallelWorkerPanicRecovered(t *testing.T) {
-	base, detail := governData(10, 1000)
+	base, detail := governData(parallelBase, 1000)
 	faults := govern.NewInjector(map[string]string{"gmdj.worker": "panic"})
 	_, err := Evaluate(base, detail, nonEquiCond(), Options{Workers: 4, Faults: faults})
 	if !errors.Is(err, govern.ErrInternal) {

@@ -1,9 +1,6 @@
 package gmdj
 
 import (
-	"encoding/binary"
-	"fmt"
-
 	"github.com/olaplab/gmdj/internal/agg"
 	"github.com/olaplab/gmdj/internal/algebra"
 	"github.com/olaplab/gmdj/internal/relation"
@@ -181,17 +178,10 @@ func evaluateSpilled(base, detail *relation.Relation, conds []algebra.GMDJCond, 
 		}
 
 		chunk := &relation.Relation{Schema: base.Schema, Rows: part.rows}
-		p, err := compile(chunk, detail, conds, opts.Completion)
+		p, err := prepare(chunk, detail, conds, opts)
 		if err != nil {
 			opts.Mem.Shrink(charged)
 			return nil, err
-		}
-		p.gov, p.faults, p.tracer, p.live = opts.Gov, opts.Faults, opts.Tracer, opts.Live
-		p.packed = opts.PackedHash
-		if opts.HashCache != nil && opts.DetailID != "" {
-			p.attachDetailHashes(opts.HashCache, opts.DetailID, opts.Stats)
-		} else if p.packed != nil {
-			p.attachPackedHashes(opts.Stats)
 		}
 		d, a, err := p.run(opts.Workers, opts.Stats)
 		opts.Mem.Shrink(charged)
@@ -208,47 +198,4 @@ func evaluateSpilled(base, detail *relation.Relation, conds []algebra.GMDJCond, 
 		opts.Stats.ExtraDetailScans += int64(scans - 1)
 	}
 	return pe.emit(decided, accs)
-}
-
-// init registers the detail hash-vector codec so cached vectors can
-// move through the spill store's cold tier like any relation.
-func init() {
-	spill.RegisterCodec(spill.Codec{
-		Name: "gmdjhashvec",
-		Encode: func(v any) ([]byte, bool) {
-			vec, ok := v.(*detailHashVec)
-			if !ok {
-				return nil, false
-			}
-			buf := binary.AppendUvarint(nil, uint64(len(vec.H)))
-			for _, h := range vec.H {
-				buf = binary.LittleEndian.AppendUint64(buf, h)
-			}
-			for _, ok := range vec.OK {
-				b := byte(0)
-				if ok {
-					b = 1
-				}
-				buf = append(buf, b)
-			}
-			return buf, true
-		},
-		Decode: func(data []byte) (any, error) {
-			n, w := binary.Uvarint(data)
-			if w <= 0 || uint64(len(data)-w) != n*9 {
-				return nil, fmt.Errorf("spill codec: bad hash-vector frame")
-			}
-			vec := &detailHashVec{H: make([]uint64, n), OK: make([]bool, n)}
-			pos := w
-			for i := range vec.H {
-				vec.H[i] = binary.LittleEndian.Uint64(data[pos:])
-				pos += 8
-			}
-			for i := range vec.OK {
-				vec.OK[i] = data[pos] != 0
-				pos++
-			}
-			return vec, nil
-		},
-	})
 }

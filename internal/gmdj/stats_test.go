@@ -1,6 +1,7 @@
 package gmdj
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -12,17 +13,16 @@ import (
 	"github.com/olaplab/gmdj/internal/value"
 )
 
-// statsWorkload builds a completion-free workload: without completion
-// no base tuple retires early, so the counters' relationship to the
-// serial run is exact — matches split perfectly across base ranges,
-// and every worker feeds the whole detail relation. (With completion
-// the counters legitimately diverge — workers short-circuit at
-// range-local points.)
+// statsWorkload builds a base large enough for relation.FanOut to
+// shard (parallelBase rows) and a detail relation of detailRows rows,
+// under one indexed and one fallback condition. The fallback
+// condition's base-only conjunct keeps its per-row base scan to a
+// tenth of the base.
 func statsWorkload(detailRows int) (*relation.Relation, *relation.Relation, []algebra.GMDJCond) {
 	base := relation.New(relation.NewSchema(
 		relation.Column{Qualifier: "B", Name: "k", Type: value.KindInt},
 	))
-	for i := int64(0); i < 200; i++ {
+	for i := int64(0); i < parallelBase; i++ {
 		base.Append(relation.Tuple{value.Int(i % 50)})
 	}
 	detail := relation.New(relation.NewSchema(
@@ -40,71 +40,87 @@ func statsWorkload(detailRows int) (*relation.Relation, *relation.Relation, []al
 		},
 		{
 			// Bindingless condition exercises the fallback-scan counters.
-			Theta: expr.NewCmp(value.LT, expr.C("B.k"), expr.C("R.v")),
-			Aggs:  []agg.Spec{{Func: agg.Sum, Arg: expr.C("R.v"), As: "s"}},
+			Theta: expr.NewAnd(
+				expr.NewCmp(value.LT, expr.C("B.k"), expr.C("R.v")),
+				expr.NewCmp(value.LT, expr.C("B.k"), expr.IntLit(5))),
+			Aggs: []agg.Spec{{Func: agg.Sum, Arg: expr.C("R.v"), As: "s"}},
 		},
 	}
 	return base, detail, conds
 }
 
-// TestStatsParitySerialParallel pins the base-sharded counter
-// contract against serial evaluation (per-worker locals merged at
-// drain — no lost or double-counted updates): matches and completions
-// agree exactly (every (base, detail, θ) triple is evaluated by
-// exactly one worker), detail rows multiply by the effective worker
-// count (each worker runs the full detail scan), and probes land
-// between the serial count (fallback visits split perfectly) and
+// TestStatsParitySerialParallel pins the counter contract of the
+// base-sharded scan against serial evaluation, with and without tuple
+// completion (per-worker locals merged at drain — no lost or
+// double-counted updates). At every degree, DetailRows +
+// ShortCircuitRows is |detail| and DetailRows equals the serial scan's:
+// the scan reports how far it got, its longest worker's visits.
+// Matches and completions agree exactly (every (base, detail, θ)
+// triple is decided by one worker on the same detail prefix as in the
+// serial scan), WorkerRows holds the per-worker visits, and probes
+// land between the serial count (fallback visits split perfectly) and
 // workers× it (shared-index buckets are walked by every worker). Run
 // under -race this also proves the merge is race-free: workers write
 // only their own state's counters, and WorkerRows is recorded after
 // the pool drains.
 func TestStatsParitySerialParallel(t *testing.T) {
-	base, detail, conds := statsWorkload(8000)
-
-	var serial Stats
-	outS, err := Evaluate(base, detail, conds, Options{Stats: &serial})
-	if err != nil {
-		t.Fatal(err)
+	base, detail, conds := statsWorkload(1000)
+	notExists := &algebra.CompletionInfo{
+		Atoms: []algebra.CompletionAtom{{Cond: 0, Kind: algebra.AtomZero}},
+		Tree:  &algebra.BoolTree{Op: algebra.BoolLeaf, Leaf: 0},
 	}
-	if serial.WorkerRows != nil {
-		t.Fatalf("serial WorkerRows = %v, want nil", serial.WorkerRows)
-	}
-
-	for _, workers := range []int{2, 4, 8} {
-		var par Stats
-		// A live tracer makes the -race run cover concurrent span
-		// recording from the worker goroutines too.
-		outP, err := Evaluate(base, detail, conds, Options{
-			Stats: &par, Workers: workers, Tracer: obs.NewTracer(1 << 10),
-		})
+	for _, comp := range []*algebra.CompletionInfo{nil, notExists} {
+		var serial Stats
+		outS, err := Evaluate(base, detail, conds, Options{Completion: comp, Stats: &serial})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if outP.String() != outS.String() {
-			t.Fatalf("workers=%d: output differs from serial:\n%s", workers, outS.Diff(outP))
+		if serial.WorkerRows != nil {
+			t.Fatalf("serial WorkerRows = %v, want nil", serial.WorkerRows)
 		}
-		effective := int64(len(par.WorkerRows))
-		if effective < 2 {
-			t.Fatalf("workers=%d: WorkerRows = %v, want at least two workers", workers, par.WorkerRows)
+		if comp != nil && serial.ShortCircuitRows == 0 {
+			t.Fatal("completion run did not short-circuit; the workload no longer tests it")
 		}
-		if par.DetailRows != serial.DetailRows*effective {
-			t.Fatalf("workers=%d: DetailRows = %d, want %d×%d (every worker scans the full detail)",
-				workers, par.DetailRows, effective, serial.DetailRows)
-		}
-		if par.Matches != serial.Matches || par.Completed != serial.Completed ||
-			par.ShortCircuitRows != serial.ShortCircuitRows {
-			t.Fatalf("workers=%d: counters diverge:\nserial   %+v\nparallel %+v", workers, serial, par)
-		}
-		if par.Probes < serial.Probes || par.Probes > serial.Probes*effective {
-			t.Fatalf("workers=%d: Probes = %d, want within [%d, %d]",
-				workers, par.Probes, serial.Probes, serial.Probes*effective)
-		}
-		var sum int64
-		for _, r := range par.WorkerRows {
-			sum += r
-		}
-		if sum != par.DetailRows {
-			t.Fatalf("workers=%d: sum(WorkerRows) = %d, DetailRows = %d", workers, sum, par.DetailRows)
+		for _, workers := range []int{1, 2, 4, 8} {
+			var par Stats
+			// A live tracer makes the -race run cover concurrent span
+			// recording from the worker goroutines too.
+			outP, err := Evaluate(base, detail, conds, Options{
+				Completion: comp, Stats: &par, Workers: workers, Tracer: obs.NewTracer(1 << 10),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("completion=%v workers=%d", comp != nil, workers)
+			if outP.String() != outS.String() {
+				t.Fatalf("%s: output differs from serial:\n%s", name, outS.Diff(outP))
+			}
+			if got := par.DetailRows + par.ShortCircuitRows; got != int64(detail.Len()) {
+				t.Fatalf("%s: DetailRows(%d) + ShortCircuitRows(%d) = %d, want |detail| = %d",
+					name, par.DetailRows, par.ShortCircuitRows, got, detail.Len())
+			}
+			if par.DetailRows != serial.DetailRows || par.Matches != serial.Matches ||
+				par.Completed != serial.Completed {
+				t.Fatalf("%s: counters diverge:\nserial   %+v\nparallel %+v", name, serial, par)
+			}
+			effective := int64(1)
+			if workers > 1 {
+				effective = int64(len(par.WorkerRows))
+				if effective < 2 {
+					t.Fatalf("%s: WorkerRows = %v, want at least two workers", name, par.WorkerRows)
+				}
+				var longest int64
+				for _, r := range par.WorkerRows {
+					longest = max(longest, r)
+				}
+				if longest != par.DetailRows {
+					t.Fatalf("%s: longest worker scan %d, DetailRows %d", name, longest, par.DetailRows)
+				}
+			}
+			if par.Probes < serial.Probes || par.Probes > serial.Probes*effective {
+				t.Fatalf("%s: Probes = %d, want within [%d, %d]",
+					name, par.Probes, serial.Probes, serial.Probes*effective)
+			}
 		}
 	}
 }

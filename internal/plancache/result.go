@@ -10,8 +10,8 @@ import (
 	"github.com/olaplab/gmdj/internal/spill"
 )
 
-// ResultCache is the engine-level memo behind cross-query subquery and
-// GMDJ reuse: a byte-budgeted LRU from opaque string keys to immutable
+// ResultCache is the engine-level memo behind cross-query subquery
+// reuse: a byte-budgeted LRU from opaque string keys to immutable
 // values. Invalidation is by key construction — every key embeds the
 // id@version pair of each table the value was computed from (see
 // EpochTag), so a write to any dependency makes the old key
@@ -138,9 +138,9 @@ func EpochTag(name string, id, version uint64) string {
 	return fmt.Sprintf("%s#%d@%d", name, id, version)
 }
 
-// ResultKey assembles a result-cache key from a kind ("subsrc",
-// "gmdjhash", ...), a structural fingerprint of the computation, and
-// the epoch tags of every table it reads.
+// ResultKey assembles a result-cache key from a kind ("subsrc"), a
+// structural fingerprint of the computation, and the epoch tags of
+// every table it reads.
 func ResultKey(kind, fingerprint string, epochTags []string) string {
 	return kind + "|" + fingerprint + "|" + strings.Join(epochTags, ",")
 }

@@ -2,21 +2,21 @@ package plancache
 
 import (
 	"github.com/olaplab/gmdj/internal/obs"
+	"github.com/olaplab/gmdj/internal/relation"
 	"github.com/olaplab/gmdj/internal/spill"
 )
 
 // The result cache's cold tier: with a spill store enabled, eviction
-// demotes encodable values (materialized subquery relations, GMDJ
-// detail hash vectors) to checksummed temp files instead of dropping
-// them, and Get promotes them back on demand. SpillDown is the memory-
-// pressure valve the engine pool's reclaim hook drives: it frees
-// resident cache bytes by pushing the LRU tail cold, so a memory-
-// hungry query can proceed without killing the cache outright.
+// demotes materialized relations (the subquery sources the memo holds)
+// to checksummed temp files instead of dropping them, and Get promotes
+// them back on demand. SpillDown is the memory-pressure valve the
+// engine pool's reclaim hook drives: it frees resident cache bytes by
+// pushing the LRU tail cold, so a memory-hungry query can proceed
+// without killing the cache outright.
 
 // coldItem is one demoted entry.
 type coldItem struct {
 	file  *spill.File
-	codec string
 	bytes int64 // original in-memory size estimate
 }
 
@@ -38,18 +38,18 @@ func (c *ResultCache) demoteLocked(it *resultItem) bool {
 	if c.store == nil {
 		return false
 	}
-	name, data, ok := spill.EncodeAny(it.value)
+	rel, ok := it.value.(*relation.Relation)
 	if !ok {
 		return false
 	}
-	f, err := c.store.Write("resultcache", data)
+	f, err := c.store.Write("resultcache", spill.EncodeRelation(rel))
 	if err != nil {
 		return false
 	}
 	if old, dup := c.cold[it.key]; dup {
 		old.file.Remove()
 	}
-	c.cold[it.key] = &coldItem{file: f, codec: name, bytes: it.bytes}
+	c.cold[it.key] = &coldItem{file: f, bytes: it.bytes}
 	c.stats.SpillWrites++
 	obs.MetricAdd("resultcache.spill_write", 1)
 	return true
@@ -69,7 +69,7 @@ func (c *ResultCache) promoteLocked(key string) (any, bool) {
 		return nil, false
 	}
 	ci.file.Remove()
-	v, err := spill.DecodeAny(ci.codec, data)
+	v, err := spill.DecodeRelation(data)
 	if err != nil {
 		return nil, false
 	}
@@ -96,7 +96,7 @@ func (c *ResultCache) shrinkLocked() {
 }
 
 // SpillDown frees at least n resident bytes by demoting LRU-tail
-// entries to the cold tier (dropping entries no codec can demote),
+// entries to the cold tier (dropping entries that are not relations),
 // returning the bytes actually freed. It is the engine memory pool's
 // reclaim hook: called when a query's reservation cannot grow, on
 // whatever goroutine hit the pressure.

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"runtime"
 
 	"github.com/olaplab/gmdj/internal/value"
 )
@@ -12,6 +13,33 @@ import (
 // bookkeeping (bounds checks, governance ticks, channel-free morsel
 // claims) over a thousand rows.
 const DefaultBatchCap = 1024
+
+// MorselRows is how many input rows one morsel covers: a few batches'
+// worth, small enough that workers rebalance across skewed predicates,
+// large enough that the atomic claim is amortized into noise.
+const MorselRows = 4 * DefaultBatchCap
+
+// Morsels returns how many morsels cover n input rows.
+func Morsels(n int) int {
+	if n <= 0 {
+		return 0
+	}
+	return (n-1)/MorselRows + 1
+}
+
+// FanOut is the engine's one parallel fan-out rule: how many workers
+// an operator over n input rows uses at the configured parallelism.
+// Inputs under two morsels run serially (goroutines would cost more
+// than they save), every worker gets at least one morsel, and the
+// degree never exceeds 4×GOMAXPROCS. The morsel pipelines apply it to
+// their input rows and the GMDJ to its base rows (the relation it
+// shards).
+func FanOut(parallelism, n int) int {
+	if parallelism <= 1 || n < 2*MorselRows {
+		return 1
+	}
+	return min(parallelism, Morsels(n), 4*runtime.GOMAXPROCS(0))
+}
 
 // Batch is one columnar chunk of rows flowing through the batched
 // operator API (exec.NextBatch). Its storage — the row-reference

@@ -4,17 +4,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
 
 	"github.com/olaplab/gmdj/internal/relation"
 	"github.com/olaplab/gmdj/internal/value"
 )
 
 // This file is the spill wire format: a compact binary encoding of the
-// engine's data plane (values, tuples, schemas, relations) plus a
-// codec registry so heterogeneous cached values (result-cache entries)
-// can round-trip through the store without the store knowing their
-// types.
+// engine's data plane (values, tuples, schemas, relations).
 //
 // All integers are unsigned varints except float payloads (8B LE).
 // Decoding is defensive — any structural violation is an error, never
@@ -212,76 +208,4 @@ func DecodePartition(data []byte) ([]int32, []relation.Tuple, error) {
 		pos = next
 	}
 	return idx, rows, nil
-}
-
-// Codec teaches the store how to round-trip one concrete cached-value
-// type. Encode returns ok=false when v is not its type.
-type Codec struct {
-	Name   string
-	Encode func(v any) ([]byte, bool)
-	Decode func(data []byte) (any, error)
-}
-
-var (
-	codecMu   sync.RWMutex
-	codecs    []Codec
-	codecByNm = map[string]int{}
-)
-
-// RegisterCodec adds a codec (package init time; last registration of
-// a name wins).
-func RegisterCodec(c Codec) {
-	codecMu.Lock()
-	defer codecMu.Unlock()
-	if i, ok := codecByNm[c.Name]; ok {
-		codecs[i] = c
-		return
-	}
-	codecByNm[c.Name] = len(codecs)
-	codecs = append(codecs, c)
-}
-
-// EncodeAny finds a codec handling v and encodes it. ok is false when
-// no registered codec handles v — the value is then not spillable and
-// must stay in memory or be dropped.
-func EncodeAny(v any) (name string, data []byte, ok bool) {
-	codecMu.RLock()
-	defer codecMu.RUnlock()
-	for _, c := range codecs {
-		if data, ok := c.Encode(v); ok {
-			return c.Name, data, true
-		}
-	}
-	return "", nil, false
-}
-
-// DecodeAny decodes data with the named codec.
-func DecodeAny(name string, data []byte) (any, error) {
-	codecMu.RLock()
-	i, ok := codecByNm[name]
-	c := Codec{}
-	if ok {
-		c = codecs[i]
-	}
-	codecMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("spill codec: unknown codec %q", name)
-	}
-	return c.Decode(data)
-}
-
-func init() {
-	RegisterCodec(Codec{
-		Name: "relation",
-		Encode: func(v any) ([]byte, bool) {
-			rel, ok := v.(*relation.Relation)
-			if !ok {
-				return nil, false
-			}
-			return EncodeRelation(rel), true
-		},
-		Decode: func(data []byte) (any, error) {
-			return DecodeRelation(data)
-		},
-	})
 }

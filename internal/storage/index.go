@@ -34,15 +34,20 @@ type HashIndex struct {
 // NewHashIndex builds an index over column position col of rel.
 func NewHashIndex(rel *relation.Relation, col int) *HashIndex {
 	ix := &HashIndex{col: col, rel: rel, buckets: make(map[uint64][]int)}
-	for i, row := range rel.Rows {
-		v := row[col]
-		if v.IsNull() {
-			continue
-		}
-		h := v.Hash()
-		ix.buckets[h] = append(ix.buckets[h], i)
+	for i := range rel.Rows {
+		ix.add(i)
 	}
 	return ix
+}
+
+// add indexes the row at position i.
+func (ix *HashIndex) add(i int) {
+	v := ix.rel.Rows[i][ix.col]
+	if v.IsNull() {
+		return
+	}
+	h := v.Hash()
+	ix.buckets[h] = append(ix.buckets[h], i)
 }
 
 // Lookup returns the positions of rows whose indexed column equals v.
@@ -156,11 +161,13 @@ type Table struct {
 	// registration) so index changes invalidate compiled plans too.
 	epochs *atomic.Uint64
 
-	// segMu guards the lazily built packed-columnar image of the table;
-	// segVersion records which table version it reflects.
+	// segMu guards the lazily built packed-columnar image of the table
+	// and the key-hash vectors computed from it; segVersion records
+	// which table version both reflect.
 	segMu      sync.Mutex
 	seg        *Segment
 	segVersion uint64
+	keyHashes  map[string]keyHashVec
 
 	// quarantine, when set, records why the table's durable segment
 	// failed recovery; queries touching the table fail with
@@ -176,6 +183,29 @@ func NewTable(name string, rel *relation.Relation) *Table {
 		hashIdx:   make(map[string]*HashIndex),
 		sortedIdx: make(map[string]*SortedIndex),
 	}
+}
+
+// Append adds rows to the table and keeps its indexes current: the new
+// positions join every hash index's buckets in place (no rebuild, so a
+// small append stays cheap), sorted indexes are rebuilt, and the
+// version is bumped once. It is every write path's append.
+func (t *Table) Append(rows ...relation.Tuple) {
+	if len(rows) == 0 {
+		return
+	}
+	start := len(t.Rel.Rows)
+	for _, row := range rows {
+		t.Rel.Append(row)
+	}
+	for _, ix := range t.hashIdx {
+		for i := start; i < len(t.Rel.Rows); i++ {
+			ix.add(i)
+		}
+	}
+	for col, ix := range t.sortedIdx {
+		t.sortedIdx[col] = NewSortedIndex(t.Rel, ix.col)
+	}
+	t.BumpVersion()
 }
 
 // BuildHashIndex creates (or rebuilds) a hash index over the named
@@ -233,7 +263,7 @@ func (t *Table) Version() uint64 { return t.version.Load() }
 // table's version (unreaching every memoized result keyed on the old
 // one) and the owning catalog's schema epoch (invalidating compiled
 // plans, which may have frozen index-based access-path choices).
-// Writers must call it after appending rows outside the DDL layer.
+// Append calls it; writers that append to Rel directly must too.
 func (t *Table) BumpVersion() {
 	t.version.Add(1)
 	if t.epochs != nil {

@@ -175,12 +175,43 @@ func (s *Segment) KeyHashes(key []int) (h []uint64, ok []bool) {
 func (t *Table) Segment() *Segment {
 	t.segMu.Lock()
 	defer t.segMu.Unlock()
-	v := t.Version()
-	if t.seg == nil || t.segVersion != v {
+	return t.segmentLocked()
+}
+
+func (t *Table) segmentLocked() *Segment {
+	if v := t.Version(); t.seg == nil || t.segVersion != v {
 		t.seg = BuildSegment(t.Name, t.Rel)
 		t.segVersion = v
+		t.keyHashes = nil
 	}
 	return t.seg
+}
+
+// keyHashVec is one memoized Segment.KeyHashes result.
+type keyHashVec struct {
+	h  []uint64
+	ok []bool
+}
+
+// KeyHashes is Segment().KeyHashes(key) memoized per table version:
+// until the next write, every caller asking for the same key columns
+// gets the same vectors, which callers must not modify. This is the
+// GMDJ's source of detail key hashes for base-table detail relations.
+// Safe for concurrent readers.
+func (t *Table) KeyHashes(key []int) (h []uint64, ok []bool) {
+	t.segMu.Lock()
+	defer t.segMu.Unlock()
+	seg := t.segmentLocked()
+	k := fmt.Sprint(key)
+	if v, hit := t.keyHashes[k]; hit {
+		return v.h, v.ok
+	}
+	h, ok = seg.KeyHashes(key)
+	if t.keyHashes == nil {
+		t.keyHashes = make(map[string]keyHashVec)
+	}
+	t.keyHashes[k] = keyHashVec{h: h, ok: ok}
+	return h, ok
 }
 
 // setSegment seeds the cache with a freshly decoded segment (recovery:
@@ -191,6 +222,7 @@ func (t *Table) setSegment(s *Segment) {
 	defer t.segMu.Unlock()
 	t.seg = s
 	t.segVersion = t.Version()
+	t.keyHashes = nil
 }
 
 // Quarantine marks the table's durable image corrupt: queries touching

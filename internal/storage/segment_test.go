@@ -3,6 +3,8 @@ package storage
 import (
 	"errors"
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/olaplab/gmdj/internal/relation"
@@ -289,6 +291,38 @@ func TestTableSegmentCachedPerVersion(t *testing.T) {
 	}
 	if s3.Rows != 51 {
 		t.Fatalf("rebuilt segment has %d rows, want 51", s3.Rows)
+	}
+}
+
+// TestTableKeyHashesMemo: at one version KeyHashes hands every caller
+// the same backing arrays; an Append makes it compute new vectors,
+// equal to Segment.KeyHashes over the grown table.
+func TestTableKeyHashesMemo(t *testing.T) {
+	tab := NewTable("t", trickyRel(50))
+	// Concurrent queries share the memo; -race checks its locking.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tab.KeyHashes([]int{g % 2})
+		}()
+	}
+	wg.Wait()
+	key := []int{0, 1}
+	h1, ok1 := tab.KeyHashes(key)
+	h2, ok2 := tab.KeyHashes(key)
+	if &h1[0] != &h2[0] || &ok1[0] != &ok2[0] {
+		t.Fatal("KeyHashes recomputed at an unchanged version")
+	}
+	tab.Append(trickyRel(51).Rows[50])
+	h3, ok3 := tab.KeyHashes(key)
+	if &h3[0] == &h1[0] || &ok3[0] == &ok1[0] {
+		t.Fatal("KeyHashes served the old version's vectors after Append")
+	}
+	wantH, wantOK := BuildSegment("t", tab.Rel).KeyHashes(key)
+	if !reflect.DeepEqual(h3, wantH) || !reflect.DeepEqual(ok3, wantOK) {
+		t.Fatalf("memoized vectors differ from Segment.KeyHashes:\n%v %v\n%v %v", h3, ok3, wantH, wantOK)
 	}
 }
 

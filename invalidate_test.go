@@ -8,13 +8,13 @@ import (
 )
 
 // invalidationQueries exercise each cache layer: q1 the parameterized
-// plan cache, q2 the GMDJ detail-hash memo, q3 the uncorrelated
-// subquery-source memo.
+// plan cache, q2 the detail table's per-version key-hash memo, q3 the
+// uncorrelated subquery-source memo.
 var invalidationQueries = []string{
 	`SELECT name FROM users WHERE score > 15`,
 	`SELECT u.name FROM users u WHERE EXISTS (
 		SELECT * FROM flows f WHERE f.src = u.ip AND f.bytes > 1000)`,
-	`SELECT name FROM users WHERE score > (SELECT AVG(bytes) FROM flows WHERE bytes < 50)`,
+	`SELECT name FROM users WHERE score > (SELECT AVG(b) FROM (SELECT bytes AS b FROM flows WHERE bytes < 50) small)`,
 }
 
 func invalidationDB(t *testing.T) *DB {
@@ -131,12 +131,13 @@ func TestCacheInvalidation(t *testing.T) {
 // TestCacheInvalidationCounters pins the mechanism, not just the
 // outcome: a write bumps the schema epoch, so the next lookup of a
 // previously cached plan records an invalidation, and the result
-// memo's epoch-tagged keys miss rather than hit.
+// memo's epoch-tagged keys miss rather than hit. Native evaluation of
+// q3 is what reads its subquery source through the memo.
 func TestCacheInvalidationCounters(t *testing.T) {
 	db := invalidationDB(t)
-	q := invalidationQueries[1]
+	q := invalidationQueries[2]
 	for i := 0; i < 2; i++ {
-		if _, err := db.Query(q); err != nil {
+		if _, err := db.QueryStrategy(q, Native); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -146,7 +147,7 @@ func TestCacheInvalidationCounters(t *testing.T) {
 		t.Fatalf("warmup did not hit: plan %+v memo %+v", planBefore, memoBefore)
 	}
 	db.MustInsert("flows", []any{"10.0.0.3", int64(1)})
-	if _, err := db.Query(q); err != nil {
+	if _, err := db.QueryStrategy(q, Native); err != nil {
 		t.Fatal(err)
 	}
 	planAfter := db.PlanCacheStats()
@@ -159,5 +160,59 @@ func TestCacheInvalidationCounters(t *testing.T) {
 	}
 	if memoAfter.Misses == memoBefore.Misses {
 		t.Errorf("memo should have missed on new epoch keys: %+v -> %+v", memoBefore, memoAfter)
+	}
+}
+
+// TestWritePathsMaintainIndexes: every write path keeps the written
+// table's hash and sorted indexes current, so Native, which probes
+// them, answers like GMDJOpt, which scans the rows.
+func TestWritePathsMaintainIndexes(t *testing.T) {
+	writes := []struct {
+		name  string
+		apply func(db *DB) error
+	}{
+		{"insert-api", func(db *DB) error { return db.Insert("ord", []any{int64(2), int64(7)}) }},
+		{"insert-sql", func(db *DB) error {
+			_, err := db.Exec(`INSERT INTO ord VALUES (2, 7)`)
+			return err
+		}},
+		{"load-csv", func(db *DB) error { return db.LoadCSV("ord", strings.NewReader("ck,v\n2,7\n")) }},
+	}
+	queries := []string{
+		// Native probes the hash index on ord.ck.
+		`SELECT c.k FROM cust c WHERE EXISTS (SELECT * FROM ord o WHERE o.ck = c.k)`,
+		// Native range-scans the sorted index on ord.v.
+		`SELECT c.k FROM cust c WHERE EXISTS (SELECT * FROM ord o WHERE o.v > c.k)`,
+	}
+	for _, w := range writes {
+		t.Run(w.name, func(t *testing.T) {
+			db := Open()
+			db.MustCreateTable("cust", Col("k", Int))
+			db.MustCreateTable("ord", Col("ck", Int), Col("v", Int))
+			db.MustInsert("cust", []any{int64(1)}, []any{int64(2)}, []any{int64(3)})
+			db.MustInsert("ord", []any{int64(1), int64(1)})
+			if err := db.BuildHashIndex("ord", "ck"); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.BuildSortedIndex("ord", "v"); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.apply(db); err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range queries {
+				native, err := db.QueryStrategy(q, Native)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opt, err := db.QueryStrategy(q, GMDJOpt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rowsKey(t, native) != rowsKey(t, opt) {
+					t.Errorf("%q after %s:\nnative:   %v\ngmdj-opt: %v", q, w.name, native.Rows, opt.Rows)
+				}
+			}
+		})
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	gmdj "github.com/olaplab/gmdj"
+	"github.com/olaplab/gmdj/internal/relation"
 )
 
 const obsTestQuery = `SELECT f.SourceIP FROM Flow f
@@ -52,9 +53,10 @@ func TestQueryAnalyzeReconciles(t *testing.T) {
 }
 
 // TestTraceRoundTrip checks the full tracing path through the facade:
-// enable, run, export, parse.
+// enable, run, export, parse. The sample is two morsels of flows, the
+// smallest GMDJ base relation.FanOut shards, so worker spans appear.
 func TestTraceRoundTrip(t *testing.T) {
-	db := gmdj.OpenNetflowSample(500)
+	db := gmdj.OpenNetflowSample(2 * relation.MorselRows)
 	var buf bytes.Buffer
 	if err := db.WriteTrace(&buf); err == nil {
 		t.Fatal("WriteTrace before EnableTracing must error")

@@ -72,9 +72,10 @@ func WithPlanCache(maxBytes int64) Option {
 }
 
 // WithResultCache enables cross-query memoization: uncorrelated
-// subquery source materializations and GMDJ detail-side hash vectors
-// are cached across queries, keyed by table versions so any write to a
-// dependency invalidates them. maxBytes bounds the memo (0 = 64 MiB
+// subquery source materializations are cached across queries, keyed by
+// table versions so any write to a dependency invalidates them. (GMDJ
+// detail key hashes need no option: each table memoizes them per
+// version.) maxBytes bounds the memo (0 = 64 MiB
 // default); a negative value disables it (the Open default).
 func WithResultCache(maxBytes int64) Option {
 	return func(db *DB) {
